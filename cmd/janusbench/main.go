@@ -38,7 +38,6 @@ func main() {
 	duration := flag.Duration("duration", 5*time.Second, "measurement window in -serve mode")
 	serveWorkers := flag.Int("serve-workers", 0, "pool workers in -serve mode (0 = NumCPU)")
 	maxBatch := flag.Int("max-batch", 8, "batcher size limit in -serve mode")
-	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "batcher latency limit in -serve mode")
 	kernelsMode := flag.Bool("kernels", false,
 		"kernel/memory-plan microbenchmarks: blocked matmul, plan-on/off LeNet replay, allocs/op")
 	traceMode := flag.Bool("trace", false,
@@ -81,7 +80,7 @@ func main() {
 		return
 	}
 	if *serveMode {
-		serveBench(*clients, *duration, *serveWorkers, *maxBatch, *batchLatency, *jsonOut)
+		serveBench(*clients, *duration, *serveWorkers, *maxBatch, *jsonOut)
 		return
 	}
 	if *distMode {

@@ -59,7 +59,7 @@ type serveReport struct {
 // serveBench measures requests/sec against an in-process janusd: a real
 // HTTP server over the serving pool (built through the public handle API),
 // hammered by N concurrent clients.
-func serveBench(clients int, dur time.Duration, workers, maxBatch int, maxLatency time.Duration, jsonPath string) {
+func serveBench(clients int, dur time.Duration, workers, maxBatch int, jsonPath string) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -68,10 +68,9 @@ func serveBench(clients int, dur time.Duration, workers, maxBatch int, maxLatenc
 	// explicit PyOverheadNs=-1 this bench set before the handle-API
 	// migration — the numbers stay comparable across the change.
 	srv := janus.NewServer(janus.ServerOptions{
-		PoolSize:   workers,
-		MaxBatch:   maxBatch,
-		MaxLatency: maxLatency,
-		Options:    janus.Options{Seed: 42, ProfileIterations: 1},
+		PoolSize: workers,
+		MaxBatch: maxBatch,
+		Options:  janus.Options{Seed: 42, ProfileIterations: 1},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -117,8 +116,8 @@ func serveBench(clients int, dur time.Duration, workers, maxBatch int, maxLatenc
 		}
 	}
 
-	fmt.Printf("in-process janusd: %d clients, %d workers, batch %d/%v, %v\n",
-		clients, workers, maxBatch, maxLatency, dur)
+	fmt.Printf("in-process janusd: %d clients, %d workers, max batch %d, %v\n",
+		clients, workers, maxBatch, dur)
 	var done, failed atomic.Int64
 	latencies := make([][]time.Duration, clients)
 	deadline := time.Now().Add(dur)

@@ -3,8 +3,7 @@
 // store and one compiled-graph cache, and concurrent inference requests for
 // the same function signature are batched into single graph executions.
 //
-//	janusd -addr :8080 -pool 8 -max-batch 8 -batch-latency 2ms \
-//	       -program model.py
+//	janusd -addr :8080 -pool 8 -max-batch 8 -program model.py
 //
 // Endpoints (all JSON):
 //
@@ -53,7 +52,9 @@ func main() {
 	workers := flag.Int("workers", 0, "deprecated alias for -pool")
 	engineWorkers := flag.Int("engine-workers", 0, "per-graph executor parallelism inside one request (default 4)")
 	maxBatch := flag.Int("max-batch", 8, "max inference requests coalesced per batch")
-	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "max wait for batch-mates")
+	// Accepted for one more release so existing command lines still parse;
+	// the batcher never waits for batch-mates while a worker is idle.
+	_ = flag.Duration("batch-latency", 0, "deprecated and ignored: requests batch only while every worker is busy")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a worker before 429 (0 = 16x workers)")
 	acquireTimeout := flag.Duration("acquire-timeout", 10*time.Second, "max wait for a worker before 503")
 	cacheCapacity := flag.Int("cache-capacity", 0, "max cached compiled graphs, LRU-evicted (0 = unlimited)")
@@ -80,7 +81,6 @@ func main() {
 	opts := janus.ServerOptions{
 		PoolSize:       poolSize,
 		MaxBatch:       *maxBatch,
-		MaxLatency:     *batchLatency,
 		MaxQueue:       *maxQueue,
 		AcquireTimeout: *acquireTimeout,
 		CacheCapacity:  *cacheCapacity,
@@ -163,8 +163,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: mux}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("janusd: serving on %s (pool %d, batch %d / %v)",
-			*addr, poolSize, *maxBatch, *batchLatency)
+		log.Printf("janusd: serving on %s (pool %d, max batch %d)",
+			*addr, poolSize, *maxBatch)
 		errCh <- hs.ListenAndServe()
 	}()
 

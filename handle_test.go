@@ -194,10 +194,9 @@ def train_forever(x, y):
 // executions and return per-request rows.
 func TestServedFunctionBatches(t *testing.T) {
 	srv := NewServer(ServerOptions{
-		PoolSize:   2,
-		MaxBatch:   4,
-		MaxLatency: 20 * time.Millisecond,
-		Options:    Options{Seed: 3, ProfileIterations: 1},
+		PoolSize: 2,
+		MaxBatch: 4,
+		Options:  Options{Seed: 3, ProfileIterations: 1},
 	})
 	prog, err := srv.Compile(`
 def scale(x, s):
@@ -504,10 +503,9 @@ func TestReservedFeedNameRejected(t *testing.T) {
 // merged caller receives the shared scalar loss instead of an error.
 func TestBatchedTrainStepScalarLoss(t *testing.T) {
 	srv := NewServer(ServerOptions{
-		PoolSize:   1, // one worker forces concurrent calls into one batch window
-		MaxBatch:   4,
-		MaxLatency: 50 * time.Millisecond,
-		Options:    Options{Seed: 3, LearningRate: 0.01},
+		PoolSize: 1, // one worker: calls that queue behind a busy worker merge
+		MaxBatch: 4,
+		Options:  Options{Seed: 3, LearningRate: 0.01},
 	})
 	if _, err := srv.Compile(regressionSrc); err != nil {
 		t.Fatal(err)

@@ -47,24 +47,30 @@ func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) 
 		}
 	}
 
+	// One variable may be read through several Variable nodes — loop
+	// unrolling emits one per iteration for a variable() call inside the
+	// body — so its gradient is the sum over every node carrying its name.
 	out := make(map[string]Port, len(varNames))
 	for _, name := range varNames {
-		var vn *Node
+		var first *Node
+		var ps []Port
 		for _, n := range g.Nodes {
 			if n.Op == "Variable" && n.StrAttr("name") == name {
-				vn = n
-				break
+				if first == nil {
+					first = n
+				}
+				ps = append(ps, grads[n.P()]...)
 			}
 		}
-		if vn == nil {
+		if first == nil {
 			return nil, fmt.Errorf("graph: no Variable node named %q", name)
 		}
-		if ps, ok := grads[vn.P()]; ok && len(ps) > 0 {
+		if len(ps) > 0 {
 			out[name] = sum(ps)
 		} else {
 			// Variable does not influence the loss: zero gradient of the
 			// variable's shape, computed at run time via FillLike with scale 0.
-			z := g.Add("FillLike", map[string]Val{"scale": 0.0}, vn.P(), g.Const(tensor.Scalar(0)).P())
+			z := g.Add("FillLike", map[string]Val{"scale": 0.0}, first.P(), g.Const(tensor.Scalar(0)).P())
 			out[name] = z.P()
 		}
 	}

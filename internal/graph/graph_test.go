@@ -227,6 +227,40 @@ func TestGradientZeroForUnusedVariable(t *testing.T) {
 	}
 }
 
+// TestGradientSumsEveryReadOfAVariable: loop unrolling emits one Variable
+// node per iteration for the same parameter, so the gradient must sum the
+// contributions of every node carrying the name, not take the first one's.
+func TestGradientSumsEveryReadOfAVariable(t *testing.T) {
+	wv := tensor.New([]int{2, 2}, []float64{1, -2, 3, 0.5})
+	xv := tensor.New([]int{2, 2}, []float64{0.5, 1, -1, 2})
+	g := New()
+	x := g.Const(xv)
+	w1 := g.Variable("w")
+	w2 := g.Variable("w")
+	// loss = sum(x*w) + sum(tanh(w)): d/dw = x + (1 - tanh(w)^2).
+	a := g.Add("Sum", nil, g.Add("Mul", nil, x.P(), w1.P()).P())
+	b := g.Add("Sum", nil, g.Add("Tanh", nil, w2.P()).P())
+	loss := g.Add("Add", nil, a.P(), b.P())
+	grads, err := Gradients(g, loss.P(), []string{"w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Outputs = []Port{grads["w"]}
+	for _, n := range g.Nodes {
+		if n.Op == "Variable" {
+			n.Op = "Const"
+			n.Attrs = map[string]Val{"value": wv}
+		}
+	}
+	got := evalStatic(t, g, nil)[0].(*tensor.Tensor)
+	for i, w := range wv.Data() {
+		th := math.Tanh(w)
+		if want := xv.Data()[i] + 1 - th*th; math.Abs(got.Data()[i]-want) > 1e-12 {
+			t.Fatalf("grad[%d] = %v, want %v (the sum over both reads)", i, got.Data()[i], want)
+		}
+	}
+}
+
 // The optimizer tests moved to internal/graph/passes with the passes
 // themselves.
 

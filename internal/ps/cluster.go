@@ -60,6 +60,12 @@ type Cluster struct {
 	// enables them (nil otherwise); churn results read their counters.
 	retry  *RetryTransport
 	faults *FaultInjector
+	// turnSeed, when non-zero, makes RunAsync reproducible for tests: each
+	// worker step's pull and its compute-and-push run as turns in an order
+	// drawn from this seed, one turn at a time, instead of racing. Which
+	// pushes go stale then depends on the seed, not on goroutine
+	// scheduling. Workers still free-run with no round barrier.
+	turnSeed int64
 }
 
 // RunResult summarizes one training run.
@@ -276,16 +282,25 @@ func (c *Cluster) RunAsync(ctx context.Context, stepsPerWorker int) (AsyncResult
 	}
 	stales := make([]int64, n)
 	errs := make([]error, n)
+	var turns *turnOrder
+	if c.turnSeed != 0 {
+		turns = newTurnOrder(c.turnSeed, n)
+	}
 	var wg sync.WaitGroup
 	for wi, w := range c.workers {
+		w.turns = turns
 		wg.Add(1)
 		go func(wi int, w *Worker) {
 			defer wg.Done()
+			defer turns.leave(w.ID)
 			res.WorkerLosses[wi], stales[wi], errs[wi] = w.RunFree(ctx, stepsPerWorker,
 				func(s int) (float64, error) { return w.step(s*n + wi) })
 		}(wi, w)
 	}
 	wg.Wait()
+	for _, w := range c.workers {
+		w.turns = nil
+	}
 	res.Elapsed = time.Since(start)
 	// Finish the accounting before error checks, so a failed run still
 	// reports the stale/backoff counts it accumulated.

@@ -89,6 +89,11 @@ type Worker struct {
 	// reproducible. Only RunFree's single goroutine touches it.
 	rng *rand.Rand
 
+	// turns, when set (Cluster.RunAsync under Cluster.turnSeed),
+	// makes the pull and the compute-and-push phases of each step wait for
+	// their seeded turn; nil lets them race.
+	turns *turnOrder
+
 	// Lease state (Join): the current assignment, refreshed by the
 	// background heartbeat loop.
 	assignMu sync.Mutex
@@ -278,13 +283,18 @@ func (w *Worker) DoCtx(ctx context.Context, body func() (float64, error)) (loss 
 		ctx = obs.ContextWithSpan(ctx, sp.ID())
 	}
 	w.runCtx = ctx
-	if err := w.pullAll(ctx); err != nil {
+	w.turns.acquire(w.ID)
+	err = w.pullAll(ctx)
+	w.turns.release()
+	if err != nil {
 		return 0, 0, fmt.Errorf("ps: worker %d pull: %w", w.ID, err)
 	}
 	w.clock++
 	staleBefore := w.stats.staleDrops.Load()
+	w.turns.acquire(w.ID)
 	loss, err = body()
 	w.wg.Wait()
+	w.turns.release()
 	stale = w.stats.staleDrops.Load() - staleBefore
 	w.pushMu.Lock()
 	perr := w.pushErr

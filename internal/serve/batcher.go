@@ -18,18 +18,31 @@ import (
 // batched execution. The signature is the full named-feed set — function
 // name plus every feed's name and per-item shape (everything after the
 // leading batch axis) — so multi-argument functions batch exactly like the
-// original single-tensor Infer path. A group flushes when it reaches
-// maxBatch requests or when the oldest request has waited maxWait —
-// whichever comes first. Results are split back row-for-row per output, so
-// batched execution returns exactly what per-request execution would (the
-// model function must be batch-dim parallel, as DL inference functions are).
+// original single-tensor Infer path. Results are split back row-for-row per
+// output, so batched execution returns exactly what per-request execution
+// would (the model function must be batch-dim parallel, as DL inference
+// functions are).
+//
+// Batching is work-conserving: a request never waits for batch-mates while
+// a pool worker is idle. submit claims an idle worker without blocking and
+// runs the request at once. Only when every worker is busy does the request
+// join a pending group; one on-demand dispatcher goroutine then hands each
+// worker that frees up to the oldest pending group (FIFO across groups).
+// A group therefore gathers requests for exactly as long as the pool could
+// not have served them anyway, and closes early at maxBatch requests. No
+// timer is needed: under light load every request runs alone and at once,
+// and under load batches form from the requests that queue behind busy
+// workers.
 type batcher struct {
 	pool     *Pool
 	maxBatch int
-	maxWait  time.Duration
 
-	mu     sync.Mutex
-	groups map[string]*batchGroup
+	mu sync.Mutex
+	// open maps a signature to its pending group that still accepts
+	// requests; pending lists every pending group, oldest first. The
+	// dispatcher goroutine runs exactly while pending is non-empty.
+	open    map[string]*batchGroup
+	pending []*batchGroup
 }
 
 // positionalFeed is the reserved feed name for the legacy Infer path, which
@@ -61,20 +74,26 @@ type inferReq struct {
 	feeds []feed
 	rows  int
 	out   chan inferResult
-	// enq stamps submission time so the flush can record how long the
-	// request sat in its batch group (janus_serve_batch_wait_seconds).
+	// enq stamps submission time so run can record how long the request
+	// waited for a worker (janus_serve_batch_wait_seconds).
 	enq time.Time
 }
 
 type batchGroup struct {
-	fn    string
-	reqs  []*inferReq
-	timer *time.Timer
+	key  string
+	fn   string
+	reqs []*inferReq
 }
 
-func newBatcher(p *Pool, maxBatch int, maxWait time.Duration) *batcher {
-	return &batcher{pool: p, maxBatch: maxBatch, maxWait: maxWait,
-		groups: make(map[string]*batchGroup)}
+// fail delivers err to every request of the group.
+func (g *batchGroup) fail(err error) {
+	for _, r := range g.reqs {
+		r.out <- inferResult{err: err}
+	}
+}
+
+func newBatcher(p *Pool, maxBatch int) *batcher {
+	return &batcher{pool: p, maxBatch: maxBatch, open: make(map[string]*batchGroup)}
 }
 
 // groupKey buckets requests that can share one execution: same function,
@@ -167,9 +186,10 @@ func feedName(name string) string {
 	return name
 }
 
-// submit enqueues one request and blocks until its batch executes or ctx is
+// submit runs one request, batched with concurrent same-signature requests
+// when every worker is busy, and blocks until its result arrives or ctx is
 // done. Feeds must already be in a deterministic order (sorted by name; the
-// pool's entry points do this). If ctx expires while the request is queued
+// pool's entry points do this). If ctx expires while the request is pending
 // or executing, submit returns ErrCanceled immediately; the batch may still
 // execute and the abandoned result is discarded.
 func (b *batcher) submit(ctx context.Context, fn string, feeds []feed) ([]*tensor.Tensor, error) {
@@ -177,36 +197,48 @@ func (b *batcher) submit(ctx context.Context, fn string, feeds []feed) ([]*tenso
 	if err != nil {
 		return nil, err
 	}
-	// Admission control: every pending request holds one wait-queue slot
-	// from submission until its result arrives, so batched traffic is
-	// covered by the same MaxQueue bound as everything else — no unbounded
-	// pile-up of goroutines parked in batch groups.
-	release, err := b.pool.admitQueued()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	req := &inferReq{ctx: ctx, feeds: feeds, rows: rows, out: make(chan inferResult, 1), enq: time.Now()}
 	key := groupKey(fn, feeds)
 	b.mu.Lock()
-	g := b.groups[key]
+	if len(b.pending) == 0 {
+		// Nothing is queued ahead of this request, so an idle worker is its
+		// to take: run now rather than wait for batch-mates.
+		select {
+		case e := <-b.pool.idle:
+			b.mu.Unlock()
+			b.pool.metrics.acquireWait.Observe(0)
+			b.run(&batchGroup{key: key, fn: fn, reqs: []*inferReq{req}}, e)
+			res := <-req.out
+			return res.outs, res.err
+		default:
+		}
+	}
+	// Admission control: a pending request holds one wait-queue slot until
+	// its result arrives, so batched traffic is covered by the same MaxQueue
+	// bound as everything else — no unbounded pile-up of goroutines parked
+	// in batch groups.
+	release, err := b.pool.admitQueued()
+	if err != nil {
+		b.mu.Unlock()
+		return nil, err
+	}
+	defer release()
+	g := b.open[key]
 	if g == nil {
-		g = &batchGroup{fn: fn}
-		b.groups[key] = g
-		// Flush-on-timeout: the timer owns the group unless flush-on-full
-		// claims it first (the map entry is the claim token).
-		g.timer = time.AfterFunc(b.maxWait, func() { b.flushKey(key, g) })
+		g = &batchGroup{key: key, fn: fn}
+		b.open[key] = g
+		b.pending = append(b.pending, g)
+		if len(b.pending) == 1 {
+			go b.dispatch()
+		}
 	}
 	g.reqs = append(g.reqs, req)
 	if len(g.reqs) >= b.maxBatch {
-		delete(b.groups, key)
-		g.timer.Stop()
-		b.mu.Unlock()
-		b.pool.metrics.flushFull.Inc()
-		b.flush(g)
-	} else {
-		b.mu.Unlock()
+		// Full: the group keeps its place in line, later arrivals open a
+		// new one behind it.
+		delete(b.open, key)
 	}
+	b.mu.Unlock()
 	select {
 	case res := <-req.out:
 		return res.outs, res.err
@@ -215,41 +247,95 @@ func (b *batcher) submit(ctx context.Context, fn string, feeds []feed) ([]*tenso
 	}
 }
 
-// flushKey is the timer path: it claims the group if flush-on-full hasn't.
-func (b *batcher) flushKey(key string, g *batchGroup) {
-	b.mu.Lock()
-	if b.groups[key] != g {
+// dispatch hands free workers to pending groups, oldest first, and returns
+// as soon as nothing is pending, so an idle pool keeps no goroutine alive.
+// It waits with acquireWait, not acquire: every pending request already
+// holds its own admission slot, so only the worker-wait timeout applies
+// (ErrAcquireTimeout fails the group it was waiting for).
+func (b *batcher) dispatch() {
+	for {
+		e, err := b.pool.acquireWait()
+		b.mu.Lock()
+		g := b.pending[0]
+		b.pending[0] = nil
+		b.pending = b.pending[1:]
+		if b.open[g.key] == g {
+			delete(b.open, g.key)
+		}
+		more := len(b.pending) > 0
 		b.mu.Unlock()
-		return
+		if err != nil {
+			g.fail(err)
+		} else {
+			go b.run(g, e)
+		}
+		if !more {
+			return
+		}
 	}
-	delete(b.groups, key)
-	b.mu.Unlock()
-	b.pool.metrics.flushTimer.Inc()
-	b.flush(g)
 }
 
-// flush stacks the group's feeds along the batch axis, executes once, and
-// scatters per-request rows of every output back.
-func (b *batcher) flush(g *batchGroup) {
+// run executes one group on worker e, returns e to the pool, and scatters
+// per-request rows of every output back.
+func (b *batcher) run(g *batchGroup, e *core.Engine) {
 	m := b.pool.metrics
+	if len(g.reqs) >= b.maxBatch {
+		m.flushFull.Inc()
+	} else {
+		m.flushIdle.Inc()
+	}
 	m.batchSize.Observe(float64(len(g.reqs)))
 	for _, r := range g.reqs {
 		m.batchWait.Since(r.enq)
 	}
-	fail := func(err error) {
-		for _, r := range g.reqs {
-			r.out <- inferResult{err: err}
+	outs, rows, err := b.call(g, e)
+	b.pool.release(e)
+	m.batched.Add(int64(len(g.reqs)))
+	if err != nil {
+		g.fail(err)
+		return
+	}
+	if len(g.reqs) == 1 {
+		g.reqs[0].out <- inferResult{outs: outs}
+		return
+	}
+	// Per-output scatter rule: outputs that preserve the batch dimension
+	// are sliced back row-for-row; rank-0 scalars (a merged train step's
+	// loss over the concatenated batch) are shared — every request gets the
+	// same value. Anything else is ambiguous and fails the whole group.
+	for i, t := range outs {
+		if t.Rank() >= 1 && t.Dim(0) != rows {
+			g.fail(fmt.Errorf("serve: %s output %d has shape %v, which neither preserves the batch dimension (%d rows in) nor is a shared scalar",
+				g.fn, i, t.Shape(), rows))
+			return
 		}
 	}
-	rows := 0
+	off := 0
+	for _, r := range g.reqs {
+		slice := make([]*tensor.Tensor, len(outs))
+		for i, t := range outs {
+			if t.Rank() < 1 {
+				slice[i] = t
+				continue
+			}
+			slice[i] = tensor.SliceAxis(t, 0, off, off+r.rows)
+		}
+		r.out <- inferResult{outs: slice}
+		off += r.rows
+	}
+}
+
+// call stacks the group's feeds along the batch axis and executes them
+// once on e, returning the outputs (synthetic bucket rows already dropped)
+// and the group's total row count.
+func (b *batcher) call(g *batchGroup, e *core.Engine) (outs []*tensor.Tensor, rows int, err error) {
 	for _, r := range g.reqs {
 		rows += r.rows
 		// The group key guarantees a shared feed-name list; verify anyway so
 		// a future keying bug degrades to failed requests, not a panic in
-		// the timer goroutine (which would kill the process).
+		// the dispatcher's goroutine (which would kill the process).
 		if len(r.feeds) != len(g.reqs[0].feeds) {
-			fail(fmt.Errorf("serve: internal error: mixed feed signatures in one batch group for %s", g.fn))
-			return
+			return nil, 0, fmt.Errorf("serve: internal error: mixed feed signatures in one batch group for %s", g.fn)
 		}
 	}
 	// Concat each batched feed across requests; shared feeds pass through
@@ -275,6 +361,7 @@ func (b *batcher) flush(g *batchGroup) {
 	// count by repeating the last real row, so near-miss batch sizes share
 	// one compiled graph instead of converting their own. Synthetic rows
 	// are computed and discarded — only real rows scatter back.
+	m := b.pool.metrics
 	pad := 0
 	if b.pool.cfg.BucketBatch {
 		if bucket := nextPow2(rows); bucket > rows && bucket <= b.pool.cfg.MaxBucket {
@@ -296,14 +383,6 @@ func (b *batcher) flush(g *batchGroup) {
 	if len(g.reqs) == 1 {
 		callCtx = g.reqs[0].ctx
 	}
-	// acquireWait, not acquire: every request in this batch already holds
-	// its own admission slot, so the flush must not be rejected by the
-	// queue bound — only the worker-wait timeout applies.
-	e, err := b.pool.acquireWait()
-	if err != nil {
-		fail(err)
-		return
-	}
 	out, err := guard(func() (minipy.Value, error) {
 		if len(batched) == 1 && batched[0].name == positionalFeed {
 			return e.CallCtx(callCtx, g.fn, []minipy.Value{minipy.NewTensor(batched[0].t)})
@@ -314,16 +393,12 @@ func (b *batcher) flush(g *batchGroup) {
 		}
 		return e.CallNamed(callCtx, g.fn, feeds)
 	})
-	b.pool.release(e)
-	m.batched.Add(int64(len(g.reqs)))
 	if err != nil {
-		fail(fmt.Errorf("%w (calling %s with batched feeds %s)", err, g.fn, describeFeeds(batched)))
-		return
+		return nil, 0, fmt.Errorf("%w (calling %s with batched feeds %s)", err, g.fn, describeFeeds(batched))
 	}
-	outs, err := minipy.Tensors(out)
+	outs, err = minipy.Tensors(out)
 	if err != nil {
-		fail(fmt.Errorf("serve: %s: %v", g.fn, err))
-		return
+		return nil, 0, fmt.Errorf("serve: %s: %v", g.fn, err)
 	}
 	if pad > 0 {
 		// Drop the synthetic rows. Every output must preserve the (padded)
@@ -332,41 +407,13 @@ func (b *batcher) flush(g *batchGroup) {
 		// silently wrong — reject instead, pointing at the knob.
 		for i, t := range outs {
 			if t.Rank() < 1 || t.Dim(0) != rows+pad {
-				fail(fmt.Errorf("serve: %s output %d has shape %v, which does not preserve the batch dimension — shape bucketing pads the batch with synthetic rows, so %s needs batch-preserving outputs (disable BucketBatch to serve it)",
-					g.fn, i, t.Shape(), g.fn))
-				return
+				return nil, 0, fmt.Errorf("serve: %s output %d has shape %v, which does not preserve the batch dimension — shape bucketing pads the batch with synthetic rows, so %s needs batch-preserving outputs (disable BucketBatch to serve it)",
+					g.fn, i, t.Shape(), g.fn)
 			}
 			outs[i] = tensor.SliceAxis(t, 0, 0, rows)
 		}
 	}
-	if len(g.reqs) == 1 {
-		g.reqs[0].out <- inferResult{outs: outs}
-		return
-	}
-	// Per-output scatter rule: outputs that preserve the batch dimension
-	// are sliced back row-for-row; rank-0 scalars (a merged train step's
-	// loss over the concatenated batch) are shared — every request gets the
-	// same value. Anything else is ambiguous and fails the whole group.
-	for i, t := range outs {
-		if t.Rank() >= 1 && t.Dim(0) != rows {
-			fail(fmt.Errorf("serve: %s output %d has shape %v, which neither preserves the batch dimension (%d rows in) nor is a shared scalar",
-				g.fn, i, t.Shape(), rows))
-			return
-		}
-	}
-	off := 0
-	for _, r := range g.reqs {
-		slice := make([]*tensor.Tensor, len(outs))
-		for i, t := range outs {
-			if t.Rank() < 1 {
-				slice[i] = t
-				continue
-			}
-			slice[i] = tensor.SliceAxis(t, 0, off, off+r.rows)
-		}
-		r.out <- inferResult{outs: slice}
-		off += r.rows
-	}
+	return outs, rows, nil
 }
 
 // padRows appends pad copies of t's last row along axis 0. Repeating a real

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -44,9 +43,9 @@ func counterSum(reg *obs.Registry, name string) float64 {
 // sizes land on power-of-two buckets (counted in janus_bucket_*), and with
 // RelaxBatchDim the bucket sizes share one wildcard graph.
 func TestBucketPaddingBitIdentical(t *testing.T) {
-	bucketed := newTestPool(t, Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond,
+	bucketed := newTestPool(t, Config{Workers: 1, MaxBatch: 1,
 		BucketBatch: true, MaxBucket: 16, Engine: janusConfig(1)})
-	exact := newTestPool(t, Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond,
+	exact := newTestPool(t, Config{Workers: 1, MaxBatch: 1,
 		Engine: janusConfig(1)})
 
 	batch := func(rows int) *tensor.Tensor {
@@ -91,7 +90,7 @@ func TestBucketPaddingBitIdentical(t *testing.T) {
 // the batch dimension (train_step's mean loss) must fail with a clear
 // error, not silently return a value aggregated over synthetic rows.
 func TestBucketRejectsScalarOutput(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond,
+	p := newTestPool(t, Config{Workers: 1, MaxBatch: 1,
 		BucketBatch: true, Engine: janusConfig(1)})
 	x := tensor.New([]int{3, 2}, []float64{1, 2, 3, 4, 5, 6})
 	y := tensor.New([]int{3, 3}, make([]float64, 9))
@@ -108,7 +107,7 @@ func TestBucketRejectsScalarOutput(t *testing.T) {
 // TestSharedFeedBroadcast: a feed marked shared is exempt from the
 // batch-dimension contract and reaches the function whole.
 func TestSharedFeedBroadcast(t *testing.T) {
-	p := NewPool(Config{Workers: 1, MaxBatch: 4, MaxLatency: time.Millisecond,
+	p := NewPool(Config{Workers: 1, MaxBatch: 4,
 		BucketBatch: true, Engine: janusConfig(1)})
 	if _, err := p.Load(projectProgram); err != nil {
 		t.Fatalf("load: %v", err)
@@ -142,7 +141,7 @@ func TestSharedFeedBroadcast(t *testing.T) {
 func TestPoolSnapshotWarmBoot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "janus-cache.snap")
 	mk := func() *Pool {
-		return newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: time.Millisecond,
+		return newTestPool(t, Config{Workers: 2, MaxBatch: 4,
 			BucketBatch: true, Engine: janusConfig(1)})
 	}
 	cold := mk()

@@ -13,8 +13,8 @@ const (
 	helpSessions  = "Client sessions registered over the pool's lifetime."
 	helpAcqWait   = "Time a request waited to claim a worker or session token."
 	helpBatchSize = "Requests coalesced into one batched execution."
-	helpBatchWait = "Time a request spent parked in a batch group before its flush."
-	helpFlushes   = "Batch-group flushes, by trigger (full window vs timer expiry)."
+	helpBatchWait = "Time a request waited for a worker before its batch ran (0 on an idle worker)."
+	helpFlushes   = "Batched executions, by trigger: full (the group reached MaxBatch) or idle (a worker was free before the group filled)."
 	helpBatched   = "Requests served through the batcher."
 
 	helpBucketPadded = "Batched executions padded up to a power-of-two row bucket."
@@ -36,11 +36,11 @@ type metrics struct {
 
 	acquireWait *obs.Histogram
 
-	batchSize  *obs.Histogram
-	batchWait  *obs.Histogram
-	flushFull  *obs.Counter
-	flushTimer *obs.Counter
-	batched    *obs.Counter
+	batchSize *obs.Histogram
+	batchWait *obs.Histogram
+	flushFull *obs.Counter
+	flushIdle *obs.Counter
+	batched   *obs.Counter
 
 	// Shape-bucketing instruments (janus_bucket_*), registered eagerly so
 	// the family is present in a fresh boot's exposition — the CI cold-start
@@ -62,9 +62,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 			obs.SizeBuckets),
 		batchWait: reg.Histogram("janus_serve_batch_wait_seconds", helpBatchWait,
 			obs.DefBuckets),
-		flushFull:  reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "full"),
-		flushTimer: reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "timer"),
-		batched:    reg.Counter("janus_serve_batched_requests_total", helpBatched),
+		flushFull: reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "full"),
+		flushIdle: reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "idle"),
+		batched:   reg.Counter("janus_serve_batched_requests_total", helpBatched),
 
 		bucketPadded: reg.Counter("janus_bucket_padded_batches_total", helpBucketPadded),
 		bucketExact:  reg.Counter("janus_bucket_exact_batches_total", helpBucketExact),
@@ -74,5 +74,5 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // flushes sums both flush-reason series (the Stats Batches field).
 func (m *metrics) flushes() int64 {
-	return m.flushFull.Value() + m.flushTimer.Value()
+	return m.flushFull.Value() + m.flushIdle.Value()
 }

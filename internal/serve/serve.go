@@ -10,10 +10,11 @@
 // other client — including clients on different workers and in different
 // sessions.
 //
-// Inference requests go through a batcher that coalesces concurrent
-// same-signature calls into one batched tensor execution (configurable max
-// batch size and max latency) and scatters per-request rows back to the
-// callers.
+// Inference requests go through a work-conserving batcher: a request runs
+// at once on an idle worker, and only while every worker is busy do
+// concurrent same-signature calls coalesce (up to a configurable max batch
+// size) into one batched tensor execution whose per-request rows are
+// scattered back to the callers.
 package serve
 
 import (
@@ -41,15 +42,17 @@ var ErrOverloaded = errors.New("serve: overloaded: request queue is full")
 // Config.AcquireTimeout for a worker — mapped to 503.
 var ErrAcquireTimeout = errors.New("serve: timed out waiting for an engine worker")
 
-// Config tunes a Pool. The zero value serves with 4 workers and a batcher
-// window of 8 requests / 2 ms.
+// Config tunes a Pool. The zero value serves with 4 workers and batches of
+// up to 8 requests.
 type Config struct {
 	// Workers is the number of engine workers (concurrent requests served).
 	Workers int
 	// MaxBatch caps how many inference requests coalesce into one execution.
 	MaxBatch int
-	// MaxLatency is the longest a request waits for batch-mates before the
-	// partial batch is flushed.
+	// MaxLatency is ignored: the batcher never holds a request while a
+	// worker is idle, so there is no batch window to bound.
+	//
+	// Deprecated: ignored; kept so existing callers compile.
 	MaxLatency time.Duration
 	// MaxSessions caps concurrently registered HTTP sessions (default
 	// 10000); sessions are freed with DELETE /v1/sessions/{id}.
@@ -89,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 8
-	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = 2 * time.Millisecond
 	}
 	if c.Engine.PyOverheadNs == 0 {
 		// The engine's zero value simulates CPython's ~5µs/op dispatch cost
@@ -227,7 +227,7 @@ func NewPool(cfg Config) *Pool {
 		p.engines = append(p.engines, e)
 		p.idle <- e
 	}
-	p.batcher = newBatcher(p, cfg.MaxBatch, cfg.MaxLatency)
+	p.batcher = newBatcher(p, cfg.MaxBatch)
 	return p
 }
 
@@ -310,9 +310,9 @@ func (p *Pool) acquire(ctx context.Context) (*core.Engine, error) {
 }
 
 // acquireWait blocks for a worker up to AcquireTimeout without consuming a
-// queue slot. The batcher uses it at flush time: each request in the batch
-// already held (and still holds) its own slot from submission, so the flush
-// must not be spuriously rejected by a queue it never occupied.
+// queue slot. The batcher's dispatcher uses it: each pending request
+// already holds its own slot from submission, so the dispatch must not be
+// spuriously rejected by a queue it never occupied.
 func (p *Pool) acquireWait() (*core.Engine, error) {
 	select {
 	case e := <-p.idle:
@@ -338,8 +338,8 @@ func (p *Pool) release(e *core.Engine) { p.idle <- e }
 // guard converts engine panics into request errors. Deep tensor kernels
 // panic on malformed inputs (shape mismatches etc.); a serving process must
 // return an error to the one offending client, not crash — and the batcher
-// flushes from a timer goroutine, where an unrecovered panic would kill the
-// whole process.
+// runs batches on the dispatcher's goroutines, where an unrecovered panic
+// would kill the whole process.
 func guard[T any](f func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {

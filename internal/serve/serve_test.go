@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +67,7 @@ func input(i int) *tensor.Tensor {
 }
 
 func TestConcurrentInferMatchesSequential(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 4, MaxBatch: 8, MaxLatency: time.Millisecond,
+	p := newTestPool(t, Config{Workers: 4, MaxBatch: 8,
 		Engine: janusConfig(1)})
 	warm(t, p, "predict", input(0), 3)
 
@@ -113,7 +114,7 @@ func TestConcurrentInferMatchesSequential(t *testing.T) {
 }
 
 func TestBatchedEqualsUnbatched(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 8, MaxLatency: 2 * time.Millisecond,
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 8,
 		Engine: janusConfig(1)})
 	warm(t, p, "predict", input(0), 3)
 
@@ -153,21 +154,58 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 	}
 }
 
-func TestBatcherFlushOnFull(t *testing.T) {
-	// MaxLatency is far beyond the test deadline: completion proves the
-	// size trigger fired.
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: 5 * time.Minute,
-		Engine: janusConfig(1)})
-	before := p.Stats()
+// holdWorkers takes every worker of p out of the idle pool, so the batcher
+// sees a fully busy pool; the returned func gives one worker back.
+func holdWorkers(t *testing.T, p *Pool) (releaseOne func()) {
+	t.Helper()
+	var held []*core.Engine
+	for range p.engines {
+		e, err := p.acquire(context.Background())
+		if err != nil {
+			t.Fatalf("hold worker: %v", err)
+		}
+		held = append(held, e)
+	}
+	return func() {
+		p.release(held[0])
+		held = held[1:]
+	}
+}
 
-	const n = 4
+// inferAsync starts n concurrent Infer calls on inputs 0..n-1 and returns
+// the channel their errors (or row mismatches) arrive on.
+func inferAsync(p *Pool, n int) <-chan error {
 	results := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			_, err := p.Infer("predict", input(i))
+			got, err := p.Infer("predict", input(i))
+			if err == nil {
+				w, _ := p.Store().Get("w")
+				if want := tensor.MatMul(input(i), w); !tensor.AllClose(got, want, 1e-9) {
+					err = fmt.Errorf("request %d: got %v want %v", i, got, want)
+				}
+			}
 			results <- err
 		}(i)
 	}
+	return results
+}
+
+// waitQueued blocks until n requests are pending in the pool's wait queue.
+func waitQueued(t *testing.T, p *Pool, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Queued != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued = %d, want %d", p.Stats().Queued, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// collect waits for n results, failing on the first error.
+func collect(t *testing.T, results <-chan error, n int) {
+	t.Helper()
 	deadline := time.After(30 * time.Second)
 	for i := 0; i < n; i++ {
 		select {
@@ -176,38 +214,108 @@ func TestBatcherFlushOnFull(t *testing.T) {
 				t.Fatalf("infer: %v", err)
 			}
 		case <-deadline:
-			t.Fatal("batch never flushed on reaching MaxBatch")
+			t.Fatalf("only %d of %d requests completed", i, n)
 		}
 	}
+}
+
+// TestBatcherIdleWorkerRunsAtOnce: with a worker idle, a lone request runs
+// immediately as a batch of one. MaxLatency is far beyond the test deadline
+// and is ignored: completing at all proves no batch window held it.
+func TestBatcherIdleWorkerRunsAtOnce(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: 5 * time.Minute,
+		Engine: janusConfig(1)})
+	before := p.Stats()
+	collect(t, inferAsync(p, 1), 1)
 	after := p.Stats()
 	if got := after.Batches - before.Batches; got != 1 {
-		t.Fatalf("flush-on-full ran %d batches, want 1", got)
+		t.Fatalf("lone request ran in %d batches, want 1", got)
+	}
+	if got := p.metrics.flushIdle.Value(); got != 1 {
+		t.Fatalf("idle-worker executions = %d, want 1", got)
+	}
+	if after.Queued != 0 {
+		t.Fatalf("a request that found an idle worker still holds a queue slot: %+v", after)
+	}
+}
+
+// TestBatcherCoalescesWhileBusy: with every worker held, requests below
+// MaxBatch queue up and run as exactly one batch once a worker frees up.
+func TestBatcherCoalescesWhileBusy(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 8, Engine: janusConfig(1)})
+	warm(t, p, "predict", input(0), 3)
+	releaseOne := holdWorkers(t, p)
+	before := p.Stats()
+
+	const n = 5
+	results := inferAsync(p, n)
+	waitQueued(t, p, n)
+	select {
+	case err := <-results:
+		t.Fatalf("request finished while every worker was held (err %v)", err)
+	default:
+	}
+	releaseOne()
+	collect(t, results, n)
+	after := p.Stats()
+	if got := after.Batches - before.Batches; got != 1 {
+		t.Fatalf("%d queued requests ran in %d batches, want 1", n, got)
 	}
 	if got := after.BatchedRequests - before.BatchedRequests; got != n {
 		t.Fatalf("batched %d requests, want %d", got, n)
 	}
+	releaseOne()
 }
 
-func TestBatcherFlushOnTimeout(t *testing.T) {
-	// MaxBatch is unreachable: completion proves the latency trigger fired.
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1000, MaxLatency: 20 * time.Millisecond,
-		Engine: janusConfig(1)})
+// TestBatcherFlushOnFull: with every worker held, a group closes at
+// MaxBatch and later arrivals open a new group behind it, so 9 queued
+// requests at MaxBatch 4 run as batches of 4, 4 and 1, in arrival order.
+func TestBatcherFlushOnFull(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 1, MaxBatch: 4, Engine: janusConfig(1)})
+	releaseOne := holdWorkers(t, p)
 	before := p.Stats()
-	start := time.Now()
-	if _, err := p.Infer("predict", input(1)); err != nil {
-		t.Fatalf("infer: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("lone request returned after %v, before the %v batch window closed", elapsed, 20*time.Millisecond)
-	}
+
+	const n = 9
+	results := inferAsync(p, n)
+	waitQueued(t, p, n)
+	releaseOne()
+	collect(t, results, n)
 	after := p.Stats()
-	if got := after.Batches - before.Batches; got != 1 {
-		t.Fatalf("flush-on-timeout ran %d batches, want 1", got)
+	if got := after.Batches - before.Batches; got != 3 {
+		t.Fatalf("%d requests at MaxBatch 4 ran in %d batches, want 3", n, got)
+	}
+	if full, idle := p.metrics.flushFull.Value(), p.metrics.flushIdle.Value(); full != 2 || idle != 1 {
+		t.Fatalf("flushes full=%d idle=%d, want full=2 idle=1", full, idle)
+	}
+}
+
+// TestBatcherNoGoroutineLeak: the dispatcher runs only while requests are
+// pending, so once traffic stops the goroutine count returns to where it
+// was before — an idle pool pins nothing.
+func TestBatcherNoGoroutineLeak(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, Engine: janusConfig(1)})
+	warm(t, p, "predict", input(0), 3)
+	base := runtime.NumGoroutine()
+
+	releaseOne := holdWorkers(t, p)
+	const n = 12
+	results := inferAsync(p, n)
+	waitQueued(t, p, n)
+	releaseOne()
+	releaseOne()
+	collect(t, results, n)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after traffic stopped, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestCrossSessionGraphCacheHit(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1,
 		Engine: janusConfig(1)})
 	a, b := p.NewSession(), p.NewSession()
 
@@ -240,7 +348,7 @@ func TestCrossSessionGraphCacheHit(t *testing.T) {
 }
 
 func TestTrainingThroughPoolConverges(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: time.Millisecond,
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4,
 		Engine: janusConfig(2)})
 	x := minipy.NewTensor(tensor.New([]int{4, 2}, []float64{0, 0, 1, 0, 0, 1, 1, 1}))
 	// Target: y = x @ [[1,2,3],[4,5,6]].
@@ -265,12 +373,13 @@ func TestTrainingThroughPoolConverges(t *testing.T) {
 	}
 }
 
-// TestBatcherTimeoutFlushStress hammers the timer-path flush: many
-// concurrent waves of requests against an unreachable MaxBatch, so every
-// batch flushes on max-latency from the timer goroutine. Run under -race in
-// CI; correctness of every scattered row is checked.
-func TestBatcherTimeoutFlushStress(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 4, MaxBatch: 1 << 20, MaxLatency: time.Millisecond,
+// TestBatcherDispatchStress hammers the hand-off between submit, the
+// dispatcher and worker release: many concurrent waves of requests against
+// an unreachable MaxBatch, so requests alternately take idle workers and
+// coalesce behind busy ones. Run under -race in CI; correctness of every
+// scattered row is checked.
+func TestBatcherDispatchStress(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 4, MaxBatch: 1 << 20,
 		Engine: janusConfig(1)})
 	warm(t, p, "predict", input(0), 3)
 	w, _ := p.Store().Get("w")
@@ -293,7 +402,7 @@ func TestBatcherTimeoutFlushStress(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d wave %d: got %v want %v", g, r, got, want)
 					return
 				}
-				// Jitter so waves straddle the flush window boundary.
+				// Jitter so waves alternate between idle and busy workers.
 				time.Sleep(time.Duration(i%3) * 300 * time.Microsecond)
 			}
 		}(g)
@@ -304,7 +413,7 @@ func TestBatcherTimeoutFlushStress(t *testing.T) {
 		t.Error(err)
 	}
 	if st := p.Stats(); st.Batches == 0 {
-		t.Fatalf("timer path never flushed: %+v", st)
+		t.Fatalf("no batch ran: %+v", st)
 	}
 }
 
@@ -312,7 +421,7 @@ func TestBatcherTimeoutFlushStress(t *testing.T) {
 // kernel panic deep in the executor must come back as a request error, and
 // the pool must keep serving afterwards.
 func TestMalformedCallReturnsError(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1,
 		Engine: janusConfig(1)})
 	warm(t, p, "predict", input(0), 3)
 
@@ -496,7 +605,7 @@ func TestSessionlessRunIsEphemeralAndParallel(t *testing.T) {
 // inspection endpoint.
 func TestCacheEndpointAndEviction(t *testing.T) {
 	const capacity = 3
-	srv := NewServer(Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
+	srv := NewServer(Config{Workers: 2, MaxBatch: 1,
 		CacheCapacity: capacity, Engine: janusConfig(1)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -575,7 +684,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) map[strin
 }
 
 func TestHTTPServesConcurrentClients(t *testing.T) {
-	srv := NewServer(Config{Workers: 4, MaxBatch: 8, MaxLatency: time.Millisecond,
+	srv := NewServer(Config{Workers: 4, MaxBatch: 8,
 		Engine: janusConfig(1)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

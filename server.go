@@ -36,8 +36,10 @@ type ServerOptions struct {
 	// MaxBatch caps how many inference requests coalesce into one batched
 	// execution (default 8).
 	MaxBatch int
-	// MaxLatency bounds how long a request waits for batch-mates before a
-	// partial batch flushes (default 2ms).
+	// MaxLatency is ignored: the batcher never holds a request while a
+	// worker is idle, so there is no batch window to bound.
+	//
+	// Deprecated: ignored; kept so existing callers compile.
 	MaxLatency time.Duration
 	// MaxQueue bounds how many requests may wait for a worker before new
 	// arrivals are rejected (HTTP 429); default 16 x PoolSize.
@@ -81,7 +83,6 @@ func NewServer(opts ServerOptions) *Server {
 	return &Server{srv: serve.NewServer(serve.Config{
 		Workers:        opts.poolSize(),
 		MaxBatch:       opts.MaxBatch,
-		MaxLatency:     opts.MaxLatency,
 		MaxQueue:       opts.MaxQueue,
 		AcquireTimeout: opts.AcquireTimeout,
 		CacheCapacity:  opts.CacheCapacity,
