@@ -46,7 +46,7 @@ type TrainOptions struct {
 	Optimizer string
 	// Async makes each Call a free-running epoch instead of one barriered
 	// round: every replica loops AsyncSteps local steps on its slice of the
-	// batch — pull fresh shards, run the function, stream gradients — with
+	// batch — pull fresh shards, run the function, push gradients — with
 	// no per-step barrier across replicas. The only cross-replica
 	// synchronization is the server's shard step clock enforcing Staleness:
 	// a replica whose pushes are rejected as stale backs off (bounded) and
@@ -84,11 +84,11 @@ type TrainOptions struct {
 // API: Program/Func resolve handles exactly as on a Runtime or Server, and
 // each Call runs one global round — the feeds' leading batch dimension is
 // split into contiguous per-replica slices, every replica executes the
-// function on its slice concurrently, and each parameter's gradient streams
-// to the sharded server the moment backprop finalizes it (overlapping
-// communication with compute, the effect the paper's §6.3.2 attributes the
-// graph engine's multi-device scalability to). The call returns the
-// row-weighted mean of the replicas' scalar losses.
+// function on its slice concurrently, and pushes each shard's gradients to
+// the sharded server as soon as they are complete (on the trace tape, while
+// backprop continues: the overlap the paper's §6.3.2 attributes the graph
+// engine's multi-device scalability to). The call returns the row-weighted
+// mean of the replicas' scalar losses.
 //
 // With TrainOptions.Async set, a Call is instead a free-running epoch: each
 // replica loops AsyncSteps pull→step→push iterations on its slice with no

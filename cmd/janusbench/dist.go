@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -45,6 +46,18 @@ type distReport struct {
 	Async     []asyncDistPoint `json:"async,omitempty"`
 	Scaling   []distPoint      `json:"scaling,omitempty"`
 	Churn     *churnDistPoint  `json:"churn,omitempty"`
+	// LocalRatio compares a host-bound 1-worker cluster with the local
+	// train step in the same run (benchcheck gates dist.min_local_ratio).
+	LocalRatio *localRatioPoint `json:"local_ratio,omitempty"`
+}
+
+// localRatioPoint is the parameter-server overhead of one replica on one
+// shard: its items/s against the same model's local train step (memory
+// plan on).
+type localRatioPoint struct {
+	DistItemsPerS  float64 `json:"dist_items_per_s"`
+	LocalItemsPerS float64 `json:"local_items_per_s"`
+	Ratio          float64 `json:"ratio"`
 }
 
 type distPoint struct {
@@ -126,6 +139,89 @@ func serverLR(base float64, workers int, optimizer string) float64 {
 	return base * float64(workers)
 }
 
+// Local-ratio measurement: after one untimed pair as warm-up, ratioReps
+// interleaved pairs of at least ratioSteps steps each.
+const ratioReps, ratioSteps = 11, 400
+
+// localRatio runs a 1-worker, 1-shard cluster and a plain local engine of
+// the same model and engine configuration, both host-bound (no simulated
+// device time), alternating between them (ABBA, each run after a GC), and
+// reports the median rates and the median of the per-pair ratios.
+func localRatio(m *models.Model, ecfg core.Config, steps int) (*localRatioPoint, error) {
+	steps = max(steps, ratioSteps)
+	build := func(_ int, e *core.Engine) (ps.StepFunc, error) {
+		inst, err := m.Build(e, ecfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return inst.Step, nil
+	}
+	cluster, err := ps.NewCluster(ps.ClusterConfig{
+		Workers: 1, Shards: 1, LR: ecfg.LR, Engine: ecfg, Build: build,
+	})
+	if err != nil {
+		return nil, err
+	}
+	local, err := m.Build(core.NewEngine(ecfg), ecfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	items := float64(steps * m.ItemsPerStep)
+	runDist := func() (float64, error) {
+		res, err := cluster.Run(steps)
+		return items / res.Elapsed.Seconds(), err
+	}
+	next := 0
+	runLocal := func() (float64, error) {
+		t0 := time.Now()
+		for i := 0; i < steps; i++ {
+			if _, err := local.Step(next); err != nil {
+				return 0, err
+			}
+			next++
+		}
+		return items / time.Since(t0).Seconds(), nil
+	}
+	// Warm up past profiling, conversion and the pool's first fill.
+	if _, err := runDist(); err != nil {
+		return nil, err
+	}
+	if _, err := runLocal(); err != nil {
+		return nil, err
+	}
+	var distRates, localRates, ratios []float64
+	for r := 0; r < ratioReps; r++ {
+		first, second := runDist, runLocal
+		if r%2 == 1 {
+			first, second = runLocal, runDist
+		}
+		runtime.GC()
+		a, err := first()
+		if err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		b, err := second()
+		if err != nil {
+			return nil, err
+		}
+		if r%2 == 1 {
+			a, b = b, a
+		}
+		distRates, localRates, ratios = append(distRates, a), append(localRates, b), append(ratios, a/b)
+	}
+	p := &localRatioPoint{DistItemsPerS: medianOf(distRates), LocalItemsPerS: medianOf(localRates), Ratio: medianOf(ratios)}
+	fmt.Printf("1-worker 1-shard dist vs local train step (host-bound, %d×%d steps, ABBA): %.0f vs %.0f items/s, ratio %.2f (pairs %.2f-%.2f)\n",
+		ratioReps, steps, p.DistItemsPerS, p.LocalItemsPerS, p.Ratio, slices.Min(ratios), slices.Max(ratios))
+	return p, nil
+}
+
+func medianOf(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
+
 // distBench measures REAL data-parallel scaling on the parameter-server
 // runtime (internal/ps) and prints it beside the internal/dist analytical
 // prediction configured from the same measured profile — turning the
@@ -161,8 +257,13 @@ func distBench(o distOptions) {
 			return loss, err
 		}, nil
 	}
+	ratio, err := localRatio(m, ecfg, steps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dist bench: local ratio: %v\n", err)
+		os.Exit(1)
+	}
 	if o.async {
-		asyncDistBench(o, m, ecfg, build)
+		asyncDistBench(o, m, ecfg, build, ratio)
 		return
 	}
 
@@ -250,15 +351,16 @@ func distBench(o distOptions) {
 		fmt.Printf("\n%d→%d workers speedup: %.2fx (acceptance bar: > 1.0x)\n",
 			pts[1].workers, pts[2].workers, speedup)
 	}
-	fmt.Println("\nMeasured: in-process ps.Cluster (real gradient exchange, per-tensor")
-	fmt.Println("streaming overlapping backprop; host math real, device execution")
+	fmt.Println("\nMeasured: in-process ps.Cluster (real gradient exchange, one push")
+	fmt.Println("per shard once its gradients are complete; host math real, device execution")
 	fmt.Println("simulated by -device-time as in DESIGN notes). Predicted: internal/dist")
 	fmt.Println("configured from the measured single-worker profile (overlap=true). The")
 	fmt.Println("analytical model ignores host-side coordination cost (serialized on")
 	fmt.Printf("this machine's %d core(s)) and shard-lock contention, so the gap Δ is\n", runtime.NumCPU())
 	fmt.Println("the model's unexplained residual.")
 
-	rep := distReport{Mode: "dist", Model: m.Name, Workers: maxWorkers, Optimizer: optName(o.optimizer)}
+	rep := distReport{Mode: "dist", Model: m.Name, Workers: maxWorkers, Optimizer: optName(o.optimizer),
+		LocalRatio: ratio}
 	for _, p := range pts {
 		rep.Scaling = append(rep.Scaling, distPoint{
 			Workers: p.workers, ItemsPerS: p.throughput, FinalLoss: p.finalLoss,
@@ -288,7 +390,7 @@ func optName(name string) string {
 // dropped and the worker backs off and re-pulls). A barriered run on the
 // same data anchors the comparison; the internal/dist prediction is printed
 // beside the measured efficiency exactly as in the synchronous mode.
-func asyncDistBench(o distOptions, m *models.Model, ecfg core.Config, build func(int, *core.Engine) (ps.StepFunc, error)) {
+func asyncDistBench(o distOptions, m *models.Model, ecfg core.Config, build func(int, *core.Engine) (ps.StepFunc, error), ratio *localRatioPoint) {
 	workers, steps, warmup := o.maxWorkers, o.steps, o.warmup
 	bounds := []int{0, 2, 8}
 	if o.staleness >= 0 {
@@ -367,6 +469,7 @@ func asyncDistBench(o distOptions, m *models.Model, ecfg core.Config, build func
 
 	rep := distReport{
 		Mode: "dist", Model: m.Name, Workers: workers, Optimizer: optName(o.optimizer),
+		LocalRatio: ratio,
 		Barriered: &distPoint{Workers: workers, ItemsPerS: syncItems, FinalLoss: syncLoss,
 			Push: psLatency(sync, "push"), Pull: psLatency(sync, "pull")},
 	}

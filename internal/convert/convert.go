@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"repro/internal/graph"
@@ -82,8 +83,11 @@ type Result struct {
 	Dynamic bool
 	// Asserts lists the embedded assumption checks.
 	Asserts []*graph.Node
-	// VarNames are the model parameters read by the graph.
+	// VarNames are the model parameters read by the graph, sorted.
 	VarNames []string
+	// GradNames, set when FinalizeTraining ran for a gradient sink, names
+	// the parameter whose gradient is Graph.Outputs[1+i].
+	GradNames []string
 	// Signature is the cache-key pattern for the exemplar invocation.
 	Signature []string
 	// NumFeeds is the number of runtime-fed placeholders (f0..fN-1).
@@ -199,6 +203,7 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 	for n := range c.varNames {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return &Result{
 		Graph:     c.g,
 		Loss:      lossPort,
@@ -216,7 +221,12 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 // gets control dependencies on every AssertOp so state changes only happen
 // once all assumptions validated. Dynamic graphs skip this: the runtime uses
 // the executor's trace tape and applies the optimizer itself.
-func FinalizeTraining(r *Result, lr float64) error {
+//
+// With sink set, the graph computes gradients but applies none: each
+// parameter's gradient becomes an extra graph output after the loss, named
+// by r.GradNames, for the runtime to hand to its gradient sink once the run
+// (and with it every assertion) has succeeded.
+func FinalizeTraining(r *Result, lr float64, sink bool) error {
 	if r.Dynamic {
 		return nil
 	}
@@ -224,7 +234,13 @@ func FinalizeTraining(r *Result, lr float64) error {
 	if err != nil {
 		return err
 	}
-	for name, gp := range grads {
+	for _, name := range r.VarNames {
+		gp := grads[name]
+		if sink {
+			r.Graph.Outputs = append(r.Graph.Outputs, gp)
+			r.GradNames = append(r.GradNames, name)
+			continue
+		}
 		upd := r.Graph.Add("AssignSub", map[string]graph.Val{"name": name, "lr": lr}, gp)
 		upd.ControlDeps = append(upd.ControlDeps, r.Asserts...)
 		r.Graph.Updates = append(r.Graph.Updates, upd)

@@ -2,6 +2,7 @@ package convert
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -422,7 +423,7 @@ def loss(x):
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := FinalizeTraining(res, 0.1); err != nil {
+	if err := FinalizeTraining(res, 0.1, false); err != nil {
 		t.Fatal(err)
 	}
 	var upd *graph.Node
@@ -444,5 +445,47 @@ def loss(x):
 	}
 	if tensor.Equal(before, store.MustGet("w")) {
 		t.Fatal("training step did not update the variable")
+	}
+}
+
+func TestFinalizeTrainingForSinkEmitsGradientOutputs(t *testing.T) {
+	src := `
+def loss(x):
+    w = variable("w", [1, 1])
+    b = variable("b", [1])
+    return reduce_mean((matmul(x, w) + b) ** 2.0)
+`
+	args := []minipy.Value{minipy.NewTensor(tensor.FromRows([][]float64{{2}}))}
+	fn, prof, it, store := setup(t, src, "loss", [][]minipy.Value{args, args, args})
+	res, err := ConvertCall(fn, args, prof, it.Builtins, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FinalizeTraining(res, 0.1, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.GradNames, ","); got != "b,w" {
+		t.Fatalf("gradient names %q, want b,w", got)
+	}
+	if len(res.Graph.Outputs) != 3 || len(res.Graph.Updates) != 0 {
+		t.Fatalf("%d outputs, %d updates; want loss + 2 gradients and no updates",
+			len(res.Graph.Outputs), len(res.Graph.Updates))
+	}
+	before := store.MustGet("w").Clone()
+	out, err := exec.Run(res.Graph, map[string]graph.Val{"f0": tensor.FromRows([][]float64{{2}})},
+		exec.Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(before, store.MustGet("w")) {
+		t.Fatal("sink-finalized graph updated the variable")
+	}
+	// loss = (2w + b)^2, so dw = 2·2(2w+b) and db = 2(2w+b).
+	r := 2*before.Item() + store.MustGet("b").Item()
+	for i, want := range []float64{2 * r, 4 * r} {
+		g, _ := graph.AsTensor(out.Outputs[1+i])
+		if math.Abs(g.Item()-want) > 1e-12 {
+			t.Fatalf("gradient of %s = %v, want %v", res.GradNames[i], g.Item(), want)
+		}
 	}
 }

@@ -129,7 +129,10 @@ type EntryArtifact struct {
 	// Asserts lists assumption-check nodes by node index.
 	Asserts  []int    `json:"asserts,omitempty"`
 	VarNames []string `json:"var_names,omitempty"`
-	NumFeeds int      `json:"num_feeds"`
+	// GradNames name the gradient outputs that follow the loss output in a
+	// graph finalized for a gradient sink.
+	GradNames []string `json:"grad_names,omitempty"`
+	NumFeeds  int      `json:"num_feeds"`
 	// MemPlan is the executor's liveness/buffer-reuse analysis; restored
 	// via exec.PrimePlan so the first request skips the analysis.
 	MemPlan *graph.MemoryPlan `json:"mem_plan,omitempty"`
@@ -222,6 +225,7 @@ func snapshotEntry(e *compiled, sigHashes []uint64) (EntryArtifact, error) {
 		Graph:     buf,
 		LossNode:  -1,
 		VarNames:  e.res.VarNames,
+		GradNames: e.res.GradNames,
 		NumFeeds:  e.res.NumFeeds,
 		MemPlan:   exec.PlanMemory(e.res.Graph),
 		Passes:    e.passes,
@@ -365,6 +369,7 @@ func restoreEntry(ea EntryArtifact) (*compiled, *graph.MemoryPlan, error) {
 		Graph:     g,
 		Dynamic:   ea.Dynamic,
 		VarNames:  ea.VarNames,
+		GradNames: ea.GradNames,
 		Signature: ea.Pattern,
 		NumFeeds:  ea.NumFeeds,
 	}
@@ -379,6 +384,11 @@ func restoreEntry(ea EntryArtifact) (*compiled, *graph.MemoryPlan, error) {
 			return nil, nil, fmt.Errorf("assert node %d of %d", j, len(g.Nodes))
 		}
 		res.Asserts = append(res.Asserts, g.Nodes[j])
+	}
+	// A graph hands its sink one output per gradient name after the loss;
+	// a mismatch would silently train nothing.
+	if len(g.Outputs) != 1+len(ea.GradNames) {
+		return nil, nil, fmt.Errorf("%d graph outputs for %d gradient names", len(g.Outputs), len(ea.GradNames))
 	}
 	if ea.LeafCount < 0 || ea.NumFeeds < 0 {
 		return nil, nil, fmt.Errorf("negative leaf/feed count")

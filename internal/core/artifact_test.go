@@ -406,3 +406,129 @@ func TestArtifactReplayProperty(t *testing.T) {
 		t.Fatal("no serialized entry carried a memory plan")
 	}
 }
+
+// TestArtifactRoundTripSinkGraph snapshots a training graph finalized for
+// a gradient sink. Restored into a fresh engine with a sink, it trains with
+// zero conversions and hands the sink the same gradients as the original;
+// an entry whose gradient names no longer match its outputs is rejected.
+func TestArtifactRoundTripSinkGraph(t *testing.T) {
+	const defs = `
+def loss_fn(x, y):
+    w = variable("w", [1, 1])
+    b = variable("b", [1])
+    return mse(matmul(x, w) + b, y)
+
+x = constant([[0.0], [1.0], [2.0], [3.0]])
+y = constant([[-3.0], [-1.0], [1.0], [3.0]])
+`
+	driver := minipy.MustParse(`__loss = optimize(lambda: loss_fn(x, y))`)
+	cfg := DefaultJanusConfig()
+	cfg.ProfileIters = 1
+	cfg.Seed = 11
+	sinkInto := func(m map[string]*tensor.Tensor) func(string, *tensor.Tensor) {
+		return func(name string, g *tensor.Tensor) { m[name] = g }
+	}
+	cold := NewEngine(cfg)
+	if err := cold.Run(defs); err != nil {
+		t.Fatal(err)
+	}
+	coldGrads := map[string]*tensor.Tensor{}
+	cold.SetGradSink(sinkInto(coldGrads))
+	for i := 0; i < 3; i++ {
+		if err := cold.RunProgram(driver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := ArtifactPath(t.TempDir())
+	if saved, err := cold.SaveArtifact(path, "hash-a"); err != nil || saved != 1 {
+		t.Fatalf("save: %d entries, %v", saved, err)
+	}
+
+	boot := func(t *testing.T, path string) (*Engine, error) {
+		e := NewEngine(cfg)
+		if err := e.Run(defs); err != nil {
+			t.Fatal(err)
+		}
+		e.recordSpan(driver)
+		_, err := e.LoadArtifact(path, "hash-a")
+		return e, err
+	}
+	warm, err := boot(t, path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	warmGrads := map[string]*tensor.Tensor{}
+	warm.SetGradSink(sinkInto(warmGrads))
+	if err := warm.RunProgram(driver); err != nil {
+		t.Fatal(err)
+	}
+	if s := warm.Stats(); s.Conversions != 0 || s.GraphSteps != 1 {
+		t.Fatalf("restored sink graph did not serve the step: %+v", s)
+	}
+	if len(warmGrads) != 2 {
+		t.Fatalf("sink received %d gradients, want 2", len(warmGrads))
+	}
+	for name, g := range coldGrads {
+		if w, ok := warmGrads[name]; !ok || !bitIdentical(w, g) {
+			t.Fatalf("gradient of %s: restored %v, original %v", name, warmGrads[name], g)
+		}
+	}
+
+	// Tamper: drop the gradient names, leaving three outputs for none.
+	art := readArtifactFile(t, path)
+	art.Funcs[0].Entries[0].GradNames = nil
+	bad := filepath.Join(t.TempDir(), "janus-cache.snap")
+	writeArtifactFile(t, bad, art)
+	e, err := boot(t, bad)
+	if RejectReason(err) != "entry" {
+		t.Fatalf("tampered artifact: %v, want an entry rejection", err)
+	}
+	var rejected float64
+	for _, sv := range e.Registry().Series("janus_artifact_rejected_total") {
+		if obs.LabelValue(sv.Labels, "reason") == "entry" {
+			rejected = sv.Value
+		}
+	}
+	if rejected != 1 {
+		t.Fatalf("janus_artifact_rejected_total{reason=entry} = %v, want 1", rejected)
+	}
+	if e.Cache().Entries() != 0 {
+		t.Fatal("rejected artifact restored entries")
+	}
+}
+
+func readArtifactFile(t *testing.T, path string) *Artifact {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art Artifact
+	if err := json.NewDecoder(zr).Decode(&art); err != nil {
+		t.Fatal(err)
+	}
+	return &art
+}
+
+func writeArtifactFile(t *testing.T, path string, art *Artifact) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw := gzip.NewWriter(f)
+	if err := json.NewEncoder(zw).Encode(art); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

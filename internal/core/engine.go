@@ -178,8 +178,9 @@ type compiled struct {
 	// this graph with misaligned feeds.
 	leafCount int
 	res       *convert.Result
-	// static graphs carry their own gradient/update ops; dynamic graphs are
-	// differentiated through the executor's trace tape.
+	// static graphs carry their own gradient ops, finalized either with
+	// update ops or, for a gradient sink, with gradient outputs; dynamic
+	// graphs are differentiated through the executor's trace tape.
 	static bool
 	// passes is the post-processor pipeline report for this graph (nil when
 	// the pipeline was disabled), surfaced through Explain.
@@ -250,7 +251,7 @@ type Engine struct {
 	arena *exec.Arena
 	// gradSink, when set, diverts parameter updates: instead of applying the
 	// optimizer locally, each watched variable's gradient is handed to the
-	// sink as backprop finalizes it (see SetGradSink).
+	// sink (see SetGradSink).
 	gradSink func(name string, g *tensor.Tensor)
 	// runCtx is the context of the in-flight ctx-aware entry point (RunCtx,
 	// CallCtx, ...). The engine is single-threaded per run — callers already
@@ -445,19 +446,18 @@ func (e *Engine) Define(name string, v minipy.Value) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// SetGradSink diverts this engine's parameter updates to sink: during every
-// subsequent training step, each watched variable's gradient is passed to
-// sink the moment backprop finalizes it (top layers first), and the local
-// optimizer is NOT applied. A distributed worker uses this to stream
-// per-tensor gradients to a parameter server while backprop is still
-// running, overlapping communication with compute — the effect the paper's
-// §6.3.2 attributes the graph engine's multi-device scalability to.
+// SetGradSink diverts this engine's parameter updates to sink: every
+// subsequent training step passes each watched variable's gradient to sink
+// and does NOT apply the local optimizer. A distributed worker uses this to
+// push gradients to a parameter server (the paper's §6.3.2).
 //
-// Set the sink before the first training step: under the Janus mode a sink
-// forces newly generated graphs onto the trace-tape (dynamic) path so
-// gradients stream per tensor, and graphs compiled earlier with baked-in
-// update ops would bypass the sink. Passing nil restores local updates. The
-// trace mode ignores the sink for already-traced static graphs.
+// Static graphs compute the gradients as graph outputs on the symbolic fast
+// path and hand them over after the run returns — once every runtime
+// assertion has passed, so a run that falls back never leaks a gradient.
+// Graphs differentiated on the trace tape, and imperative steps, hand each
+// gradient over the moment backprop finalizes it (top layers first). The
+// sink owns the tensors it receives: the engine never reuses them. Passing
+// nil restores local updates.
 func (e *Engine) SetGradSink(sink func(name string, g *tensor.Tensor)) { e.gradSink = sink }
 
 // Stats returns a race-safe snapshot of the engine's counters, including
@@ -662,7 +662,7 @@ func (e *Engine) janusStep(fn *minipy.FuncVal) (minipy.Value, error) {
 // for the LRU eviction policy.
 func (e *Engine) lookup(fs *funcState, sig []string) *compiled {
 	for _, c := range fs.entries {
-		if convert.SigMatch(c.pattern, sig) {
+		if e.fits(fs, c) && convert.SigMatch(c.pattern, sig) {
 			e.cache.touch(c)
 			return c
 		}
@@ -676,7 +676,7 @@ func (e *Engine) lookup(fs *funcState, sig []string) *compiled {
 // any hash collision that would misalign the feed placeholders.
 func (e *Engine) hashLookup(fs *funcState, hash uint64, wantLeaves int) *compiled {
 	c, ok := fs.sigIndex[hash]
-	if !ok || c.leafCount != wantLeaves {
+	if !ok || c.leafCount != wantLeaves || !e.fits(fs, c) {
 		return nil
 	}
 	e.cache.touch(c)
@@ -684,6 +684,17 @@ func (e *Engine) hashLookup(fs *funcState, hash uint64, wantLeaves int) *compile
 	e.stats.sigHashHits.Add(1)
 	obs.TraceFrom(e.runCtx).Annotate("cache", "sighash_hit")
 	return c
+}
+
+// fits reports whether cached entry c can serve this engine.
+// FinalizeTraining bakes the gradient-sink choice into a static training
+// graph — update ops without a sink, gradient outputs (res.GradNames) with
+// one — so an entry finalized the other way is a cache miss. Inference
+// graphs, graphs without parameters and dynamic graphs (trace-tape
+// gradients) fit either way.
+func (e *Engine) fits(fs *funcState, c *compiled) bool {
+	return fs.key.infer || !c.static || len(c.res.VarNames) == 0 ||
+		(len(c.res.GradNames) > 0) == (e.gradSink != nil)
 }
 
 // sigIndexCap bounds the per-function hash index: a shape-generalized
@@ -727,12 +738,7 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, sig []string, numLe
 	}
 	ksp := obs.StartSpan(e.runCtx, "compile")
 	t1 := time.Now()
-	if e.gradSink != nil {
-		// Gradient streaming needs the trace tape: skip the static
-		// gradient/update ops so backprop runs on the tape and per-tensor
-		// gradients reach the sink as they finalize.
-		res.Dynamic = true
-	} else if err := convert.FinalizeTraining(res, e.cfg.LR); err != nil {
+	if err := convert.FinalizeTraining(res, e.cfg.LR, e.gradSink != nil); err != nil {
 		// Static gradient generation failed (e.g. an op without a gradient):
 		// run the graph dynamically via the trace tape instead.
 		res.Dynamic = true
@@ -848,6 +854,16 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value) (minipy.Value,
 		if err != nil {
 			return nil, fmt.Errorf("core: graph loss: %v", err)
 		}
+		// The run succeeded, so every assertion passed: only now may the
+		// gradients leave. The plan pins graph outputs, so none of them is a
+		// pool buffer the next run could overwrite.
+		for i, name := range c.res.GradNames {
+			g, err := graph.AsTensor(res.Outputs[1+i])
+			if err != nil {
+				return nil, fmt.Errorf("core: gradient of %q: %v", name, err)
+			}
+			e.gradSink(name, g)
+		}
 		return minipy.NewTensor(t), nil
 	}
 	// Dynamic graph: executed-trace tape gradients, optimizer applied here.
@@ -915,10 +931,15 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 			return v, true, err
 		}
 		sig, lv := convert.Flatten(fn, nil)
-		if len(fs.entries) > 0 {
+		for _, c := range fs.entries {
+			if e.fits(fs, c) {
+				entry = c
+				break
+			}
+		}
+		if entry != nil {
 			// A single traced graph, reused unconditionally — even when the
 			// signature changed. That unchecked reuse is the unsafety.
-			entry = fs.entries[0]
 			e.cache.touch(entry)
 		} else {
 			res, err := convert.ConvertCall(fn, nil, fs.prof, e.Local.Builtins, convert.Options{
@@ -927,7 +948,7 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 			if err != nil {
 				return nil, true, fmt.Errorf("core: trace conversion failed (defun limitation): %w", err)
 			}
-			if err := convert.FinalizeTraining(res, e.cfg.LR); err != nil {
+			if err := convert.FinalizeTraining(res, e.cfg.LR, e.gradSink != nil); err != nil {
 				res.Dynamic = true
 			}
 			rep, perr := e.runPasses(res, true)

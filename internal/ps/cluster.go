@@ -168,9 +168,9 @@ func (c *Cluster) Workers() []*Worker { return c.workers }
 
 // Run trains for `rounds` global rounds. Each round, every worker runs one
 // local step concurrently on its slice of the data (worker w takes global
-// batch index round*N+w); the harness barriers between rounds. Within a
-// round, each worker's gradient pushes overlap its backprop — the real,
-// measurable form of the overlap the analytical model assumes.
+// batch index round*N+w); the harness barriers between rounds. Worker 0
+// runs on the calling goroutine, which spares it a goroutine start and a
+// fresh stack every round; the others run on one goroutine each.
 func (c *Cluster) Run(rounds int) (RunResult, error) {
 	return c.RunCtx(context.Background(), rounds)
 }
@@ -193,13 +193,14 @@ func (c *Cluster) RunCtx(ctx context.Context, rounds int) (RunResult, error) {
 			return res, core.CanceledErr(ctx)
 		}
 		var wg sync.WaitGroup
-		for wi, w := range c.workers {
+		for wi := 1; wi < n; wi++ {
 			wg.Add(1)
-			go func(wi int, w *Worker) {
+			go func(wi int) {
 				defer wg.Done()
-				losses[wi], stale[wi], errs[wi] = w.Step(r*n + wi)
-			}(wi, w)
+				losses[wi], stale[wi], errs[wi] = c.workers[wi].Step(r*n + wi)
+			}(wi)
 		}
+		losses[0], stale[0], errs[0] = c.workers[0].Step(r * n)
 		wg.Wait()
 		mean := 0.0
 		for wi := 0; wi < n; wi++ {

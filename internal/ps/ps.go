@@ -6,11 +6,12 @@
 // name hash, vars.ShardOf) and applies gradient updates with the same
 // autodiff optimizers the single-engine paths use. Workers (see Worker) wrap
 // a core.Engine replica each: every step they pull fresh parameters per
-// shard, run one training step on their slice of the data, and push each
-// parameter's gradient the moment backprop finalizes it — per tensor, while
-// backprop is still descending through earlier layers — so gradient exchange
-// overlaps compute exactly as the paper's §6.3.2 describes for graph
-// engines.
+// shard, run one training step on their slice of the data — a converted
+// graph on the symbolic fast path, which computes every gradient as a graph
+// output — and push each shard's gradients in one request as soon as they
+// are complete, the shards in parallel. Graphs that backprop on the trace
+// tape finalize gradients top layers first, so there a completed shard's
+// push overlaps the rest of backprop, as the paper's §6.3.2 describes.
 //
 // Consistency follows the stale-synchronous model: every push carries the
 // worker's step clock, and the server rejects pushes whose clock lags the
@@ -84,8 +85,8 @@ type Config struct {
 	// Optimizer names the server-side update rule: "sgd" (default),
 	// "momentum", or "adam". Optimizer state (velocity, moments, per-tensor
 	// step counts) lives on the shard, keyed by variable name, so workers
-	// stay stateless and a streamed single-tensor push advances exactly that
-	// tensor's state.
+	// stay stateless and a push advances exactly the state of the tensors
+	// it carries.
 	Optimizer string
 	// LeaseTTL is how long a registered worker may stay silent before its
 	// lease expires and its data coverage is redistributed to the remaining

@@ -151,10 +151,13 @@ func TestClusterMatchesSingleEngine(t *testing.T) {
 	if st.Pushes == 0 || st.Pulls == 0 {
 		t.Fatalf("no parameter-server traffic: %+v", st)
 	}
-	// Per-tensor streaming: pushes must outnumber steps (3 tensors/step).
-	minPushes := int64(workers * rounds * 2)
-	if st.Pushes < minPushes {
-		t.Fatalf("pushes %d, want >= %d (per-tensor streaming)", st.Pushes, minPushes)
+	// One push per worker step for each shard holding an MLP parameter.
+	shards := map[int]bool{}
+	for _, name := range []string{"mlp/w1", "mlp/b1", "mlp/w2"} {
+		shards[vars.ShardOf(name, 4)] = true
+	}
+	if want := int64(workers * rounds * len(shards)); st.Pushes != want {
+		t.Fatalf("pushes %d, want %d (one per shard per worker step)", st.Pushes, want)
 	}
 }
 

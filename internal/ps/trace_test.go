@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/tensor"
+	"repro/internal/vars"
 )
 
 // treeOf indexes a trace snapshot for parent assertions.
@@ -153,7 +154,7 @@ func TestTraceDegradationNeverFailsRequests(t *testing.T) {
 
 // TestWorkerStepMergedTrace is the full-stack check: one traced worker
 // step against a live janusps over HTTP yields a single merged tree —
-// worker_step at the root, every shard pull and streamed gradient push
+// worker_step at the root, every shard pull and shard gradient push
 // beneath it, and inside each push the server's handling and optimizer
 // apply. Run under -race in CI: pushes land on background goroutines
 // while pulls for the next phase record concurrently.
@@ -197,10 +198,15 @@ func TestWorkerStepMergedTrace(t *testing.T) {
 			t.Errorf("rpc.pull parent = %d, want worker_step %d", sp.Parent, root.ID)
 		}
 	}
-	// The MLP has 3 parameters (w1, b1, w2): each gradient streams as its
-	// own push.
-	if got := len(byName["rpc.push"]); got != 3 {
-		t.Fatalf("rpc.push spans = %d, want one per parameter", got)
+	// The MLP has 3 parameters (w1, b1, w2): the worker pushes each shard
+	// holding any of them exactly once.
+	shards := map[int]bool{}
+	for _, name := range []string{"mlp/w1", "mlp/b1", "mlp/w2"} {
+		shards[vars.ShardOf(name, 2)] = true
+	}
+	want := len(shards)
+	if got := len(byName["rpc.push"]); got != want {
+		t.Fatalf("rpc.push spans = %d, want one per shard (%d)", got, want)
 	}
 	pushIDs := make(map[obs.SpanID]bool)
 	for _, sp := range byName["rpc.push"] {
@@ -211,8 +217,8 @@ func TestWorkerStepMergedTrace(t *testing.T) {
 	}
 	// Every push carried the server's handling back: ps.push under the
 	// RPC span, opt_apply under ps.push.
-	if got := len(byName["ps.push"]); got != 3 {
-		t.Fatalf("ps.push spans = %d, want 3 grafted", got)
+	if got := len(byName["ps.push"]); got != want {
+		t.Fatalf("ps.push spans = %d, want %d grafted", got, want)
 	}
 	psPushIDs := make(map[obs.SpanID]bool)
 	for _, sp := range byName["ps.push"] {
@@ -221,17 +227,17 @@ func TestWorkerStepMergedTrace(t *testing.T) {
 		}
 		psPushIDs[sp.ID] = true
 	}
-	if got := len(byName["opt_apply"]); got != 3 {
-		t.Fatalf("opt_apply spans = %d, want 3", got)
+	if got := len(byName["opt_apply"]); got != want {
+		t.Fatalf("opt_apply spans = %d, want %d", got, want)
 	}
 	for _, sp := range byName["opt_apply"] {
 		if !psPushIDs[sp.Parent] {
 			t.Errorf("opt_apply parent %d is not a ps.push span", sp.Parent)
 		}
 	}
-	// Engine-side spans (the training execution) also landed under the
-	// same root: the step body runs with the worker's context installed.
-	if len(byID) < 13 {
-		t.Fatalf("merged tree looks too small: %d spans", len(byID))
+	// Nothing else: the root, a client and a server span per pull, and the
+	// three spans of each shard push.
+	if got, all := len(byID), 1+2*2+3*want; got != all {
+		t.Fatalf("merged tree holds %d spans, want %d", got, all)
 	}
 }

@@ -40,11 +40,16 @@ type WorkerStats struct {
 //
 // Per step the worker pulls fresh parameters for every shard (version-
 // checked, so unchanged shards cost one round trip and no payload), runs its
-// training step, and — through the engine's gradient sink — pushes each
-// parameter's gradient on a background goroutine the moment backprop
-// finalizes it, so communication for the top layers overlaps backprop of the
-// bottom ones. A worker is single-threaded with respect to Step; concurrency
-// across workers is the cluster's job.
+// training step, and — through the engine's gradient sink — collects the
+// gradients by shard. A shard is pushed, in one PushGrad on a background
+// goroutine, as soon as every parameter it returned on its last pull has a
+// gradient — except the shard completing last, which has nothing left to
+// overlap with: it is pushed on the calling goroutine when the step body
+// returns, together with any shard still missing gradients. A static graph
+// hands over all gradients at once after its run; on the trace tape they
+// arrive top layers first and a completed shard's push overlaps the rest
+// of backprop. A worker is single-threaded with respect to Step;
+// concurrency across workers is the cluster's job.
 type Worker struct {
 	ID int
 
@@ -55,6 +60,13 @@ type Worker struct {
 
 	// versions holds the per-shard version of the worker's parameter copy.
 	versions []int64
+	// shardNames[s] lists the parameters shard s returned on its last fresh
+	// pull; pending[s] collects shard s's gradients until it holds one for
+	// each of them (or the step body returns). open counts the shards of
+	// the step in flight that are still incomplete.
+	shardNames [][]string
+	pending    []map[string]*tensor.Tensor
+	open       int
 	// clock is the worker's step clock, carried on every push for the
 	// server's staleness check. Under free-running execution (RunFree) every
 	// pull fast-forwards it to the freshest step the server has observed, so
@@ -77,10 +89,9 @@ type Worker struct {
 	pushScale float64
 
 	// runCtx is the context of the step in flight: DoCtx sets it before
-	// the body runs, the gradient sink reads it when launching push
-	// goroutines, so pushes join the step's trace and honor its
-	// cancellation. Single-threaded with respect to steps (Do waits for
-	// every push before returning), so no lock is needed.
+	// the body runs, and pushes run under it, so they join the step's trace
+	// and honor its cancellation. Single-threaded with respect to steps (Do
+	// waits for every push before returning), so no lock is needed.
 	runCtx context.Context
 
 	// rng drives the full-jitter stale-push backoff, seeded per worker so
@@ -100,8 +111,8 @@ type Worker struct {
 	assign   Assignment
 	joined   bool
 
-	// Per-step push tracking: the sink adds to wg and pushes on background
-	// goroutines; Step waits for all of them before returning.
+	// Per-step push tracking: each background push adds to wg; Step waits
+	// for all of them before returning.
 	wg      sync.WaitGroup
 	pushMu  sync.Mutex
 	pushErr error
@@ -123,9 +134,14 @@ func NewWorker(id int, e *core.Engine, step StepFunc, t Transport) (*Worker, err
 	if err != nil {
 		return nil, fmt.Errorf("ps: worker %d: %w", id, err)
 	}
+	if shards < 1 {
+		return nil, fmt.Errorf("ps: worker %d: server reports %d shards", id, shards)
+	}
 	w := &Worker{ID: id, engine: e, step: step, t: t, shards: shards,
-		versions: make([]int64, shards),
-		rng:      rand.New(rand.NewSource(int64(id)*2654435761 + 1))}
+		versions:   make([]int64, shards),
+		shardNames: make([][]string, shards),
+		pending:    make([]map[string]*tensor.Tensor, shards),
+		rng:        rand.New(rand.NewSource(int64(id)*2654435761 + 1))}
 	for i := range w.versions {
 		w.versions[i] = -1
 	}
@@ -175,30 +191,38 @@ func (w *Worker) BootstrapWith(body func() error) error {
 // subsequent pushes carry the age of this parameter copy rather than the
 // worker's lifetime step count.
 func (w *Worker) pullAll(ctx context.Context) error {
-	var wg sync.WaitGroup
 	errs := make([]error, w.shards)
 	steps := make([]int64, w.shards)
-	for s := 0; s < w.shards; s++ {
+	pull := func(s int) {
+		params, version, step, err := w.t.Pull(ctx, s, w.versions[s])
+		if err != nil {
+			errs[s] = err
+			return
+		}
+		steps[s] = step
+		w.stats.pulls.Add(1)
+		if params != nil {
+			w.stats.pullsFresh.Add(1)
+			names := make([]string, 0, len(params))
+			for name, t := range params {
+				names = append(names, name)
+				w.stats.bytesPulled.Add(int64(8 * t.Size()))
+			}
+			w.shardNames[s] = names
+			w.engine.Store.SetAll(params)
+		}
+		w.versions[s] = version
+	}
+	// Shard 0 is pulled on the calling goroutine, the others in parallel.
+	var wg sync.WaitGroup
+	for s := 1; s < w.shards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			params, version, step, err := w.t.Pull(ctx, s, w.versions[s])
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			steps[s] = step
-			w.stats.pulls.Add(1)
-			if params != nil {
-				w.stats.pullsFresh.Add(1)
-				for _, t := range params {
-					w.stats.bytesPulled.Add(int64(8 * t.Size()))
-				}
-				w.engine.Store.SetAll(params)
-			}
-			w.versions[s] = version
+			pull(s)
 		}(s)
 	}
+	pull(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -215,46 +239,82 @@ func (w *Worker) pullAll(ctx context.Context) error {
 	return nil
 }
 
-// push is the engine's gradient sink: called synchronously by backprop as
-// each parameter's gradient finalizes, it ships the tensor on a background
-// goroutine so the next layer's backprop proceeds immediately.
+// push is the engine's gradient sink: it files the gradient under its
+// shard and pushes the shard once every parameter the shard holds has one,
+// unless no other shard is still incomplete: DoCtx pushes that one when
+// the body returns.
 func (w *Worker) push(name string, g *tensor.Tensor) {
 	if w.pushScale != 0 && w.pushScale != 1 {
 		g = tensor.MulScalar(g, w.pushScale)
 	}
-	shard := vars.ShardOf(name, w.shards)
+	s := vars.ShardOf(name, w.shards)
+	if _, dup := w.pending[s][name]; dup {
+		// A body that trains twice in one step: ship the first gradient.
+		w.flush(s, false)
+	}
+	if w.pending[s] == nil {
+		w.pending[s] = make(map[string]*tensor.Tensor, len(w.shardNames[s]))
+	}
+	w.pending[s][name] = g
+	for _, n := range w.shardNames[s] {
+		if _, ok := w.pending[s][n]; !ok {
+			return
+		}
+	}
+	if w.open--; w.open > 0 {
+		w.flush(s, false)
+	}
+}
+
+// flush pushes shard s's collected gradients in one PushGrad, on the
+// calling goroutine when inline is set and on a background one otherwise.
+func (w *Worker) flush(s int, inline bool) {
+	grads := w.pending[s]
+	if len(grads) == 0 {
+		return
+	}
+	w.pending[s] = nil
 	step := w.clock
 	ctx := w.runCtx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		_, err := w.t.PushGrad(ctx, shard, w.ID, step, map[string]*tensor.Tensor{name: g})
+	push := func() {
+		_, err := w.t.PushGrad(ctx, s, w.ID, step, grads)
 		if err != nil {
 			if isStale(err) {
 				// Staleness is expected under async operation: drop the
-				// gradient and let the next pull re-synchronize.
-				w.stats.staleDrops.Add(1)
+				// gradients and let the next pull re-synchronize.
+				w.stats.staleDrops.Add(int64(len(grads)))
 				return
 			}
 			w.pushMu.Lock()
 			if w.pushErr == nil {
-				w.pushErr = fmt.Errorf("ps: worker %d push %q: %w", w.ID, name, err)
+				w.pushErr = fmt.Errorf("ps: worker %d push shard %d: %w", w.ID, s, err)
 			}
 			w.pushMu.Unlock()
 			return
 		}
 		w.stats.pushes.Add(1)
-		w.stats.bytesPushed.Add(int64(8 * g.Size()))
+		for _, g := range grads {
+			w.stats.bytesPushed.Add(int64(8 * g.Size()))
+		}
+	}
+	if inline {
+		push()
+		return
+	}
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		push()
 	}()
 }
 
 // Step runs one training iteration on global batch index i: pull, compute
-// (gradients stream to the server as backprop emits them), then wait for the
-// last push. It returns the training loss and the number of gradients the
-// server rejected as stale.
+// (each shard's gradients go to the server as soon as they are complete),
+// then wait for the last push. It returns the training loss and the number
+// of gradients the server rejected as stale.
 func (w *Worker) Step(i int) (loss float64, stale int64, err error) {
 	if w.step == nil {
 		return 0, 0, fmt.Errorf("ps: worker %d has no step driver (use Do)", w.ID)
@@ -264,8 +324,8 @@ func (w *Worker) Step(i int) (loss float64, stale int64, err error) {
 
 // Do runs one training iteration whose body is an arbitrary loss-producing
 // execution on the worker's engine: pull fresh parameters, run body (the
-// engine's gradient sink streams each parameter's gradient to the server as
-// backprop finalizes it), then wait for the last push. The body must drive
+// engine's gradient sink pushes each shard's gradients once complete),
+// push whatever is left, then wait for the last push. The body must drive
 // exactly the worker's own engine — typically a function-handle Call that
 // reaches optimize() — and must not be invoked concurrently.
 func (w *Worker) Do(body func() (float64, error)) (loss float64, stale int64, err error) {
@@ -273,9 +333,9 @@ func (w *Worker) Do(body func() (float64, error)) (loss float64, stale int64, er
 }
 
 // DoCtx is Do under a context. A trace riding ctx gets one "worker_step"
-// span covering the whole iteration, with the per-shard pulls and the
-// streamed per-tensor pushes — including their server-side handling,
-// when the transport crosses a process boundary — parented beneath it.
+// span covering the whole iteration, with the per-shard pulls and pushes —
+// including their server-side handling, when the transport crosses a
+// process boundary — parented beneath it.
 func (w *Worker) DoCtx(ctx context.Context, body func() (float64, error)) (loss float64, stale int64, err error) {
 	sp := obs.StartSpan(ctx, "worker_step")
 	defer sp.End()
@@ -290,9 +350,29 @@ func (w *Worker) DoCtx(ctx context.Context, body func() (float64, error)) (loss 
 		return 0, 0, fmt.Errorf("ps: worker %d pull: %w", w.ID, err)
 	}
 	w.clock++
+	w.open = 0
+	for _, names := range w.shardNames {
+		if len(names) > 0 {
+			w.open++
+		}
+	}
 	staleBefore := w.stats.staleDrops.Load()
 	w.turns.acquire(w.ID)
 	loss, err = body()
+	// Push what the sink left: the shard that completed last on this
+	// goroutine, shards still missing gradients in the background.
+	last := -1
+	for s := range w.pending {
+		if len(w.pending[s]) > 0 {
+			if last >= 0 {
+				w.flush(last, false)
+			}
+			last = s
+		}
+	}
+	if last >= 0 {
+		w.flush(last, true)
+	}
 	w.wg.Wait()
 	w.turns.release()
 	stale = w.stats.staleDrops.Load() - staleBefore
@@ -331,7 +411,7 @@ func (w *Worker) staleBackoff(n int) time.Duration {
 	return time.Duration(w.rng.Int63n(int64(ceil)))
 }
 
-// RunFree runs n free-running local steps: pull → body → streamed pushes,
+// RunFree runs n free-running local steps: pull → body → shard pushes,
 // with no coordination with other workers. The staleness bound is enforced
 // by the server — a step whose gradients are rejected as stale is not an
 // error: the worker backs off (bounded exponential) and re-pulls, which

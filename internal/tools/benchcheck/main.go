@@ -49,6 +49,11 @@ type thresholds struct {
 		// one shard failover actually happened — a churn run that silently
 		// stopped churning must fail the gate, not pass it vacuously.
 		MaxChurnLossRatio float64 `json:"max_churn_loss_ratio"`
+		// MinLocalRatio bounds from below the same-run ratio of a 1-worker,
+		// 1-shard cluster's items/s to the local train step's (the
+		// parameter-server overhead on the symbolic fast path). When
+		// committed, the dist report must carry the local_ratio section.
+		MinLocalRatio float64 `json:"min_local_ratio"`
 	} `json:"dist"`
 	Serve struct {
 		// MinCacheHitRate bounds the shared graph-cache hit rate from below.
@@ -120,6 +125,11 @@ type report struct {
 		Failovers       int     `json:"shard_failovers"`
 		LeaseExpiries   int64   `json:"lease_expiries"`
 	} `json:"churn"`
+	LocalRatio *struct {
+		DistItemsPerS  float64 `json:"dist_items_per_s"`
+		LocalItemsPerS float64 `json:"local_items_per_s"`
+		Ratio          float64 `json:"ratio"`
+	} `json:"local_ratio"`
 	Requests             int64   `json:"requests"`
 	Failed               int64   `json:"failed"`
 	CacheHitRate         float64 `json:"cache_hit_rate"`
@@ -219,7 +229,29 @@ func checkDist(path string, r report, th thresholds) int {
 		return 1
 	}
 	bad += checkChurn(path, r, th)
+	bad += checkLocalRatio(path, r, th)
 	return bad
+}
+
+// checkLocalRatio gates the 1-worker dist items/s against the local train
+// step's, both measured in the same run.
+func checkLocalRatio(path string, r report, th thresholds) int {
+	min := th.Dist.MinLocalRatio
+	if min <= 0 {
+		return 0
+	}
+	lr := r.LocalRatio
+	switch {
+	case lr == nil:
+		fmt.Fprintf(os.Stderr, "benchcheck: %s: thresholds commit dist.min_local_ratio but report has no local_ratio section\n", path)
+		return 1
+	case lr.Ratio < min:
+		fmt.Fprintf(os.Stderr, "benchcheck: %s: 1-worker dist / local train step = %.2f (%.0f / %.0f items/s), below %.2f\n",
+			path, lr.Ratio, lr.DistItemsPerS, lr.LocalItemsPerS, min)
+		return 1
+	}
+	fmt.Printf("benchcheck: %s: 1-worker dist / local train step = %.2f >= %.2f ok\n", path, lr.Ratio, min)
+	return 0
 }
 
 // checkChurn gates convergence under injected churn: the run must have
